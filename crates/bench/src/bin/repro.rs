@@ -11,12 +11,11 @@
 //! ablation-merge, ablation-buffer, ablation-budget, ablation-auto-apm,
 //! ablation-estimator, ablation-placement, ablation-sharding,
 //! ablation-sql-strategy, ablation-compress; perf-sharded, perf-kernels,
-//! perf-concurrent, perf-compress, perf-pruning, perf-morsel,
-//! perf-openloop, perf-overload, perf-delta (wall-clock measurements of
-//! the parallel executor, the scan kernels, the epoch-snapshot concurrent
-//! read path, the compressed-domain scan kernels, zone-map pruning, the
-//! morsel-driven batch reader, the open-loop tail-latency run, the
-//! admission-gate overload/recovery run, and the delta-compaction
+//! perf-concurrent, perf-compress, perf-pruning, perf-openloop,
+//! perf-overload, perf-delta (wall-clock measurements of the parallel
+//! executor, the scan kernels, the epoch-snapshot concurrent read path,
+//! the compressed-domain scan kernels, zone-map pruning, the open-loop
+//! tail-latency run, the admission-gate overload/recovery run, and the delta-compaction
 //! write-heavy run); or the groups `simulation`, `skyserver`, `ablation`,
 //! `perf`, `all`.
 //!
@@ -27,15 +26,15 @@
 //! written to `<out>/BENCH_PR4.json`, the epoch-read-path experiments
 //! to `<out>/BENCH_PR5.json`, the compression experiments — raw vs
 //! encoded footprint, packed-scan vs decode-then-scan ms per codec — to
-//! `<out>/BENCH_PR6.json`, and the pruning/morsel/open-loop experiments
-//! — pruned vs unpruned bytes scanned, serial vs batch walk, p50/p99/
-//! p999 latency — to `<out>/BENCH_PR8.json`, and the overload/recovery
-//! experiments — shed rate, goodput, served-tail quantiles with the
-//! admission gate off vs on at 2× saturation, worker-rebuild recovery
-//! time — to `<out>/BENCH_PR9.json`, and the delta-compaction
-//! experiments — write-heavy open-loop tail with incremental vs bulk
-//! merge, delta-free overlay overhead — to `<out>/BENCH_PR10.json` (CI
-//! uploads all six as artifacts).
+//! `<out>/BENCH_PR6.json`, and the pruning/open-loop experiments —
+//! pruned vs unpruned bytes scanned, p50/p99/p999 latency — to
+//! `<out>/BENCH_PR8.json`, and the overload/recovery experiments — shed
+//! rate, goodput, served-tail quantiles with the admission gate off vs
+//! on at 2× saturation, worker-rebuild recovery time — to
+//! `<out>/BENCH_PR9.json`, and the delta-compaction experiments —
+//! write-heavy open-loop tail with incremental vs bulk merge, delta-free
+//! overlay overhead — to `<out>/BENCH_PR10.json` (CI uploads all six as
+//! artifacts).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -44,8 +43,8 @@ use std::time::Instant;
 use soc_bench::fig2;
 use soc_bench::perf::{
     aggregate_kernel_perf, compress_perf, concurrent_migration_perf, concurrent_read_perf,
-    delta_merge_perf, kernel_count_perf, morsel_scan_perf, open_loop_perf, overload_perf,
-    pruning_scan_perf, sharded_scan_perf, write_bench_json_named, PerfEntry,
+    delta_merge_perf, kernel_count_perf, open_loop_perf, overload_perf, pruning_scan_perf,
+    sharded_scan_perf, write_bench_json_named, PerfEntry,
 };
 use soc_sim::experiment::ablation;
 use soc_sim::experiment::simulation::{run_simulation_matrix, SimConfig, SimulationMatrix};
@@ -440,24 +439,11 @@ fn main() -> ExitCode {
         perf8.push(entry);
         ran_perf = true;
     }
-    if wants(e, "perf-morsel", "perf") {
-        eprintln!("measuring morsel-driven batch reads vs the serial snapshot walk…");
-        let entry = morsel_scan_perf(opts.quick);
-        println!(
-            "{}: serial {:.3} ms, batch {:.3} ms (ratio {:.2}), accounting bit-identical",
-            entry.id,
-            entry.serial_ms.unwrap_or(0.0),
-            entry.parallel_ms.unwrap_or(0.0),
-            entry.speedup.unwrap_or(0.0),
-        );
-        perf8.push(entry);
-        ran_perf = true;
-    }
     if wants(e, "perf-openloop", "perf") {
         eprintln!("running the open-loop Zipf workload for tail latency…");
         let entry = open_loop_perf(opts.quick);
         println!(
-            "{}: p50 {:.0} us, p99 {:.0} us, p999 {:.0} us",
+            "{}: p50 {:.1} us, p99 {:.1} us, p999 {:.1} us",
             entry.id,
             entry.p50_us.unwrap_or(0.0),
             entry.p99_us.unwrap_or(0.0),
@@ -473,7 +459,7 @@ fn main() -> ExitCode {
             match entry.recovery_ms {
                 Some(r) => println!("{}: worker rebuild absorbed in {:.2} ms", entry.id, r),
                 None => println!(
-                    "{}: shed {:.1}%, goodput {:.0} q/s, p50 {:.0} us, p99 {:.0} us, p999 {:.0} us",
+                    "{}: shed {:.1}%, goodput {:.0} q/s, p50 {:.1} us, p99 {:.1} us, p999 {:.1} us",
                     entry.id,
                     entry.shed_rate.unwrap_or(0.0) * 100.0,
                     entry.goodput_qps.unwrap_or(0.0),
@@ -492,7 +478,7 @@ fn main() -> ExitCode {
         for entry in delta_merge_perf(opts.quick) {
             match (entry.p999_us, entry.speedup) {
                 (Some(_), _) => println!(
-                    "{}: p50 {:.0} us, p99 {:.0} us, p999 {:.0} us",
+                    "{}: p50 {:.1} us, p99 {:.1} us, p999 {:.1} us",
                     entry.id,
                     entry.p50_us.unwrap_or(0.0),
                     entry.p99_us.unwrap_or(0.0),
@@ -516,8 +502,8 @@ fn main() -> ExitCode {
         eprintln!(
             "error: no experiment matched {e:?}; try fig2, fig5..fig16, tab1, tab2, \
              simulation, skyserver, ablation-*, perf-sharded, perf-kernels, \
-             perf-concurrent, perf-compress, perf-pruning, perf-morsel, \
-             perf-openloop, perf-overload, perf-delta, or all"
+             perf-concurrent, perf-compress, perf-pruning, perf-openloop, \
+             perf-overload, perf-delta, or all"
         );
         return ExitCode::FAILURE;
     }

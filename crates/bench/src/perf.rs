@@ -13,13 +13,13 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use criterion::quantile;
 use soc_core::{
     kernels, AdmissionConfig, AdmissionGate, AdmissionPolicy, CompactionPolicy, ConcurrentColumn,
-    CountingTracker, DeltaBatch, DeltaOp, EventLog, Fault, FaultPlan, FaultSite, NullTracker,
-    Permit, ScanPool, StrategyKind, StrategySnapshot, StrategySpec, ValueRange,
+    CountingTracker, DeltaBatch, DeltaOp, Fault, FaultPlan, FaultSite, NullTracker, Permit,
+    StrategyKind, StrategySnapshot, StrategySpec, ValueRange,
 };
 use soc_sim::{ExecMode, PlacementPolicy, ShardedColumn};
 use soc_workload::{uniform_values, Arrival, OpenLoopSpec, WorkloadSpec};
@@ -505,9 +505,9 @@ pub fn aggregate_kernel_perf(quick: bool) -> PerfEntry {
     }
 }
 
-/// Workload of the zone-map pruning and morsel experiments: the cold
-/// sorted column under APM segmentation, converged by one pass of the
-/// query stream so every piece carries tight synopsis bounds. The APM
+/// Workload of the zone-map pruning experiment: the cold sorted column
+/// under APM segmentation, converged by one pass of the query stream so
+/// every piece carries tight synopsis bounds. The APM
 /// bounds are deliberately small relative to the ~10%-selectivity query
 /// width, so a typical query overlaps many pieces and only its two
 /// boundary pieces straddle.
@@ -560,55 +560,15 @@ pub fn pruning_scan_perf(quick: bool) -> PerfEntry {
     }
 }
 
-/// Measures the morsel-driven batch read path against the serial
-/// per-query walk over the same snapshot (`perf-morsel`). Correctness
-/// first: the batch counts and the replayed [`EventLog`] must match the
-/// serial walk event for event (bit-identical accounting), then both
-/// paths are timed on a larger query stream. The pooled work per morsel
-/// is a binary search, so the interesting regime is overhead: the batch
-/// must stay in the same ballpark as serial, not win big.
-pub fn morsel_scan_perf(quick: bool) -> PerfEntry {
-    let section_start = Instant::now();
-    let (column, _, _) = pruned_setup(quick);
-    let snapshot = column.snapshot();
-    let mut pool = ScanPool::with_default_workers();
-    let count = if quick { 1_024 } else { 4_096 };
-    let queries = WorkloadSpec::uniform(0.1, count, 60).generate(&snapshot.domain());
-
-    let mut serial_log = EventLog::new();
-    let serial: Vec<u64> = queries
-        .iter()
-        .map(|q| snapshot.select_count(q, &mut serial_log))
-        .collect();
-    let mut batch_log = EventLog::new();
-    let batch = snapshot.select_count_batch(&queries, &mut pool, &mut batch_log);
-    assert_eq!(serial, batch, "morsel batch diverged from serial counts");
-    assert_eq!(
-        serial_log.events(),
-        batch_log.events(),
-        "morsel accounting diverged from the serial walk"
-    );
-
-    let (serial_ms, _) = best_ms(3, || {
-        queries
-            .iter()
-            .map(|q| snapshot.select_count(q, &mut NullTracker))
-            .sum::<u64>()
-    });
-    let (parallel_ms, _) = best_ms(3, || {
-        snapshot
-            .select_count_batch(&queries, &mut pool, &mut NullTracker)
-            .iter()
-            .sum::<u64>()
-    });
-
-    PerfEntry {
-        bytes_scanned: Some(batch_log.scan_bytes()),
-        serial_ms: Some(serial_ms),
-        parallel_ms: Some(parallel_ms),
-        speedup: Some(serial_ms / parallel_ms.max(1e-9)),
-        ..PerfEntry::section("perf-morsel", section_start.elapsed().as_secs_f64() * 1e3)
-    }
+/// Fractional microseconds from the scheduled arrival `at_micros` (an
+/// offset from `t0`) to now. Timed in nanoseconds: a served read takes a
+/// few microseconds, so whole-microsecond truncation would be a ±30%
+/// error at the median.
+fn us_since(t0: Instant, at_micros: u64) -> f64 {
+    let late = t0
+        .elapsed()
+        .saturating_sub(Duration::from_micros(at_micros));
+    late.as_nanos() as f64 / 1e3
 }
 
 /// Runs the open-loop (arrival-rate-driven) Zipf workload against a
@@ -634,12 +594,11 @@ pub fn open_loop_perf(quick: bool) -> PerfEntry {
     let t0 = Instant::now();
     let mut latencies_us: Vec<f64> = Vec::with_capacity(schedule.len());
     for a in &schedule {
-        while (t0.elapsed().as_micros() as u64) < a.at_micros {
+        while t0.elapsed() < Duration::from_micros(a.at_micros) {
             std::hint::spin_loop();
         }
         let _ = std::hint::black_box(column.select_count(&a.query, &mut NullTracker));
-        let done = t0.elapsed().as_micros() as u64;
-        latencies_us.push((done - a.at_micros) as f64);
+        latencies_us.push(us_since(t0, a.at_micros));
     }
     column.quiesce();
     latencies_us.sort_unstable_by(f64::total_cmp);
@@ -691,7 +650,7 @@ fn delta_write_perf(quick: bool, incremental: bool) -> PerfEntry {
     let t0 = Instant::now();
     let mut latencies_us: Vec<f64> = Vec::with_capacity(schedule.len());
     for (i, a) in schedule.iter().enumerate() {
-        while (t0.elapsed().as_micros() as u64) < a.at_micros {
+        while t0.elapsed() < Duration::from_micros(a.at_micros) {
             std::hint::spin_loop();
         }
         let mut batch = DeltaBatch::new();
@@ -707,8 +666,7 @@ fn delta_write_perf(quick: bool, incremental: bool) -> PerfEntry {
             column.drain_deltas();
         }
         let _ = std::hint::black_box(column.select_count(&a.query, &mut NullTracker));
-        let done = t0.elapsed().as_micros() as u64;
-        latencies_us.push((done - a.at_micros) as f64);
+        latencies_us.push(us_since(t0, a.at_micros));
     }
     column.drain_deltas();
     assert_eq!(
@@ -931,8 +889,7 @@ fn drive_open_loop(
                         let job = rx.lock().expect("job queue lock").recv();
                         let Ok((at, q, permit)) = job else { break };
                         let _ = std::hint::black_box(snap.select_count(&q, &mut NullTracker));
-                        let done = t0.elapsed().as_micros() as u64;
-                        lat.push(done.saturating_sub(at) as f64);
+                        lat.push(us_since(t0, at));
                         drop(permit);
                     }
                     lat
@@ -943,7 +900,7 @@ fn drive_open_loop(
         // whether or not the servers keep up; `ShedImmediately` keeps the
         // gate decision non-blocking, so a shed never delays the clock.
         for a in schedule {
-            while (t0.elapsed().as_micros() as u64) < a.at_micros {
+            while t0.elapsed() < Duration::from_micros(a.at_micros) {
                 std::hint::spin_loop();
             }
             let permit = match gate {
@@ -1266,16 +1223,6 @@ mod tests {
             "pruned {pruned} B must be at most a third of unpruned {unpruned} B"
         );
         assert!(e.speedup.unwrap() >= 3.0);
-    }
-
-    #[test]
-    fn morsel_perf_is_bit_identical_and_reports_both_paths() {
-        // The equality asserts live inside the measurement itself; a
-        // normal return means serial and batch agreed event for event.
-        let e = morsel_scan_perf(true);
-        assert_eq!(e.id, "perf-morsel");
-        assert!(e.bytes_scanned.unwrap() > 0);
-        assert!(e.serial_ms.unwrap() > 0.0 && e.parallel_ms.unwrap() > 0.0);
     }
 
     #[test]

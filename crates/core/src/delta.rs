@@ -332,6 +332,13 @@ impl<V: ColumnValue> DeltaRun<V> {
     }
 }
 
+/// Smallest number of rows one threshold-derived compaction step folds
+/// ([`CompactionPolicy::from_threshold`]). Keeps the per-step rebuild
+/// from degenerating into one-row rewrites under tiny thresholds (tests,
+/// demos) while the default threshold compacts in `threshold/4` chunks
+/// between the watermarks.
+pub const MIN_AUTO_MERGE_STEP: u64 = 256;
+
 /// Hysteresis watermarks and the per-step budget of the incremental
 /// compactor: folding starts when the pending rows across all runs reach
 /// [`start_above`](Self::start_above), proceeds at most
@@ -340,6 +347,10 @@ impl<V: ColumnValue> DeltaRun<V> {
 /// bytes), and stops once pending rows fall to
 /// [`stop_below`](Self::stop_below) — so a column hovering at the
 /// threshold does not thrash between folding and accumulating.
+///
+/// Both compactors decide through this one rule: the epoch writer and
+/// the catalog's automatic delta merge each keep a "compacting" flag and
+/// consult [`engaged`](Self::engaged) and [`drained`](Self::drained).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
     start_above: u64,
@@ -348,14 +359,11 @@ pub struct CompactionPolicy {
 }
 
 impl Default for CompactionPolicy {
-    /// Start at 4096 pending rows (the catalog's historical bulk-merge
-    /// threshold), drain to 1024, fold 1024 rows per step.
+    /// [`Self::from_threshold`] at 4096 pending rows (the catalog's
+    /// historical bulk-merge threshold): drain to 1024, fold 1024 rows
+    /// per step.
     fn default() -> Self {
-        CompactionPolicy {
-            start_above: 4096,
-            stop_below: 1024,
-            rows_per_step: 1024,
-        }
+        Self::from_threshold(4096)
     }
 }
 
@@ -368,6 +376,17 @@ impl CompactionPolicy {
             stop_below: stop_below.min(start_above),
             rows_per_step: rows_per_step.max(1),
         }
+    }
+
+    /// The policy a single merge threshold implies: start at `threshold`,
+    /// stop at `threshold/4`, and fold `threshold/4` rows per step, but
+    /// never fewer than [`MIN_AUTO_MERGE_STEP`].
+    pub fn from_threshold(threshold: u64) -> Self {
+        Self::new(
+            threshold,
+            threshold / 4,
+            (threshold / 4).max(MIN_AUTO_MERGE_STEP),
+        )
     }
 
     /// Pending-row level at which folding starts.
@@ -383,6 +402,20 @@ impl CompactionPolicy {
     /// Maximum delta rows folded per reorganization step.
     pub fn rows_per_step(&self) -> u64 {
         self.rows_per_step
+    }
+
+    /// Whether compaction runs at `pending` rows, given whether it was
+    /// already running: it starts once `pending` reaches
+    /// [`start_above`](Self::start_above) and, once started, continues
+    /// until a [`drained`](Self::drained) check ends it.
+    pub fn engaged(&self, compacting: bool, pending: u64) -> bool {
+        compacting || pending >= self.start_above
+    }
+
+    /// Whether a running compaction stops at `pending` rows: the backlog
+    /// is down to [`stop_below`](Self::stop_below).
+    pub fn drained(&self, pending: u64) -> bool {
+        pending <= self.stop_below
     }
 }
 
@@ -541,6 +574,54 @@ mod tests {
         let q = CompactionPolicy::new(100, 500, 0);
         assert_eq!(q.stop_below(), 100, "stop clamps to start");
         assert_eq!(q.rows_per_step(), 1, "step is at least one row");
+    }
+
+    #[test]
+    fn hysteresis_boundaries_and_threshold_policies() {
+        // (policy, pending, was compacting) -> (engaged, drained)
+        let p = CompactionPolicy::new(100, 25, 10);
+        let table = [
+            (99, false, false, false),
+            (100, false, true, false),
+            (101, false, true, false),
+            (99, true, true, false),
+            (26, true, true, false),
+            (25, true, true, true),
+            (25, false, false, true),
+            (0, true, true, true),
+        ];
+        for (pending, was, engaged, drained) in table {
+            assert_eq!(
+                (p.engaged(was, pending), p.drained(pending)),
+                (engaged, drained),
+                "pending {pending}, compacting {was}"
+            );
+        }
+
+        // threshold -> (start_above, stop_below, rows_per_step)
+        let derived = [
+            (1, (1, 0, MIN_AUTO_MERGE_STEP)),
+            (4, (4, 1, MIN_AUTO_MERGE_STEP)),
+            (4096, (4096, 1024, 1024)),
+        ];
+        for (threshold, want) in derived {
+            let q = CompactionPolicy::from_threshold(threshold);
+            assert_eq!(
+                (q.start_above(), q.stop_below(), q.rows_per_step()),
+                want,
+                "threshold {threshold}"
+            );
+            assert!(
+                q.engaged(false, threshold),
+                "starts exactly at the threshold"
+            );
+            assert!(!q.engaged(false, threshold - 1));
+            assert!(q.drained(threshold / 4), "stops exactly at threshold/4");
+        }
+        assert_eq!(
+            CompactionPolicy::default(),
+            CompactionPolicy::from_threshold(4096)
+        );
     }
 
     #[test]

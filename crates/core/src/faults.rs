@@ -4,8 +4,8 @@
 //! against, and ad-hoc `#[cfg(test)]` panics scattered through the code
 //! rot quickly. This module centralizes the seam instead: production code
 //! consults a [`FaultInjector`] at the few places a real deployment can
-//! fail — a shard worker about to run a task, a morsel job about to scan,
-//! a checkpoint save or restore about to touch the filesystem — and a
+//! fail — a shard worker about to run a task, a checkpoint save or
+//! restore about to touch the filesystem — and a
 //! seeded [`FaultPlan`] decides *deterministically* whether that
 //! consultation faults. The default [`NoFaults`] injector compiles to a
 //! no-op, so the seams cost one virtual call on paths that already cross
@@ -28,8 +28,6 @@ use std::time::Duration;
 pub enum FaultSite {
     /// A shard node worker, before executing one dispatched task.
     ShardTask,
-    /// A [`ScanPool`](crate::ScanPool) worker, before running one morsel job.
-    MorselJob,
     /// A segment-store checkpoint save, before writing the temp file.
     StoreSave,
     /// A segment-store checkpoint load, before reading the segment file.
@@ -38,9 +36,8 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in index order.
-    pub const ALL: [FaultSite; 4] = [
+    pub const ALL: [FaultSite; 3] = [
         FaultSite::ShardTask,
-        FaultSite::MorselJob,
         FaultSite::StoreSave,
         FaultSite::StoreRestore,
     ];
@@ -48,16 +45,22 @@ impl FaultSite {
     fn index(self) -> usize {
         match self {
             FaultSite::ShardTask => 0,
-            FaultSite::MorselJob => 1,
-            FaultSite::StoreSave => 2,
-            FaultSite::StoreRestore => 3,
+            FaultSite::StoreSave => 1,
+            FaultSite::StoreRestore => 2,
         }
     }
 
     /// A per-site tag folded into the hash so two sites with the same
-    /// seed draw independent streams.
+    /// seed draw independent streams. Tags are fixed per site, not
+    /// derived from [`Self::index`], so a seed keeps replaying the same
+    /// pattern at a site when another site is added or removed.
     fn tag(self) -> u64 {
-        0x5157_4f52_4b45_5200 | self.index() as u64
+        let id: u64 = match self {
+            FaultSite::ShardTask => 0,
+            FaultSite::StoreSave => 2,
+            FaultSite::StoreRestore => 3,
+        };
+        0x5157_4f52_4b45_5200 | id
     }
 }
 
@@ -124,8 +127,8 @@ struct SiteState {
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
-    plans: [Option<SitePlan>; 4],
-    states: [SiteState; 4],
+    plans: [Option<SitePlan>; FaultSite::ALL.len()],
+    states: [SiteState; FaultSite::ALL.len()],
 }
 
 impl FaultPlan {
@@ -133,7 +136,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
-            plans: [None; 4],
+            plans: [None; FaultSite::ALL.len()],
             states: Default::default(),
         }
     }
@@ -241,9 +244,9 @@ mod tests {
     #[test]
     fn same_seed_same_pattern_different_seed_differs() {
         let pattern = |seed: u64| -> Vec<bool> {
-            let p = FaultPlan::new(seed).with_fault(FaultSite::MorselJob, Fault::Panic, 0.5);
+            let p = FaultPlan::new(seed).with_fault(FaultSite::ShardTask, Fault::Panic, 0.5);
             (0..256)
-                .map(|_| p.inject(FaultSite::MorselJob).is_some())
+                .map(|_| p.inject(FaultSite::ShardTask).is_some())
                 .collect()
         };
         assert_eq!(pattern(1), pattern(1));

@@ -64,7 +64,6 @@ pub mod kernels;
 pub mod merge;
 pub mod meta;
 pub mod model;
-pub mod morsel;
 pub mod paired;
 pub mod range;
 pub mod replication;
@@ -86,7 +85,7 @@ pub use compress::{
     EncodedPayload, EncodingMode, EncodingPolicy, PiecePayload, SegmentEncoding, SegmentHeat,
 };
 pub use cracking::CrackedColumn;
-pub use delta::{CompactionPolicy, DeltaBatch, DeltaOp, DeltaRun};
+pub use delta::{CompactionPolicy, DeltaBatch, DeltaOp, DeltaRun, MIN_AUTO_MERGE_STEP};
 pub use epoch::{ConcurrentColumn, StrategySnapshot};
 pub use estimate::SizeEstimator;
 pub use faults::{Fault, FaultInjector, FaultPlan, FaultSite, NoFaults};
@@ -96,7 +95,6 @@ pub use model::{
     AdaptivePageModel, AlwaysSplit, AutoTunedApm, GaussianDice, NeverSplit, SegmentationModel,
     SplitDecision, SplitGeometry, Technique, WhichBound,
 };
-pub use morsel::{ScanError, ScanPool};
 pub use paired::{pair_rows, Pair};
 pub use range::ValueRange;
 pub use replication::{AdaptiveReplication, ReplicaTree};

@@ -353,7 +353,7 @@ pub fn l5_scan_accounting(file: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 /// **L6 `bounded-queues`** — no unbounded `mpsc::channel()` on serving
-/// paths (`epoch.rs`, `shard.rs`, `morsel.rs`).
+/// paths (`epoch.rs`, `shard.rs`).
 ///
 /// An unbounded producer queue turns overload into unbounded memory
 /// growth and latency instead of backpressure. Serving-path modules must
@@ -363,7 +363,7 @@ pub fn l5_scan_accounting(file: &SourceFile, out: &mut Vec<Finding>) {
 pub fn l6_bounded_queues(file: &SourceFile, out: &mut Vec<Finding>) {
     const RULE: &str = "L6-bounded-queues";
     let name = file.rel.rsplit('/').next().unwrap_or(&file.rel);
-    if name != "epoch.rs" && name != "shard.rs" && name != "morsel.rs" {
+    if name != "epoch.rs" && name != "shard.rs" {
         return;
     }
     for (i, line) in file.code_lines.iter().enumerate() {

@@ -41,7 +41,7 @@ use std::thread;
 
 use soc_bat::{algebra::Atom, Bat, BatError, Head, Oid, Tail};
 use soc_core::model::SegmentationModel;
-use soc_core::{StrategyKind, StrategySpec};
+use soc_core::{CompactionPolicy, StrategyKind, StrategySpec};
 
 use crate::bpm::{BpmError, SegmentedBat};
 
@@ -215,11 +215,7 @@ pub struct MergeReport {
 /// large enough that a bulk load does not thrash rebuilds.
 pub const DEFAULT_DELTA_MERGE_THRESHOLD: usize = 4096;
 
-/// Smallest number of rows one automatic compaction step folds. Keeps the
-/// per-step rebuild from degenerating into one-row rewrites under tiny
-/// thresholds (tests, demos) while the default threshold compacts in
-/// `threshold/4` chunks between the watermarks.
-pub const MIN_AUTO_MERGE_STEP: usize = 256;
+pub use soc_core::MIN_AUTO_MERGE_STEP;
 
 /// Retry state for a table whose automatic delta merge failed.
 #[derive(Debug, Clone, Copy, Default)]
@@ -265,8 +261,8 @@ pub struct Catalog {
     merge_thresholds: HashMap<String, usize>,
     /// Tables between the compaction watermarks: pending rows crossed the
     /// threshold and have not yet drained below threshold/4, so each
-    /// mutation folds one bounded step (hysteresis — mirrors
-    /// `soc_core::CompactionPolicy`).
+    /// mutation folds one bounded step (hysteresis, decided by
+    /// [`CompactionPolicy::from_threshold`]).
     compacting: HashSet<String>,
 }
 
@@ -1025,9 +1021,9 @@ impl Catalog {
     }
 
     /// Auto-merge hook run after every delta mutation, now an
-    /// **incremental compactor with hysteresis** (mirroring
-    /// `soc_core::CompactionPolicy`): once the table's pending rows reach
-    /// the threshold in force, each mutation folds one bounded
+    /// **incremental compactor with hysteresis** (the table's
+    /// [`CompactionPolicy::from_threshold`]): once the table's pending
+    /// rows reach the threshold in force, each mutation folds one bounded
     /// [`Self::merge_deltas_step`] — at most `max(threshold/4,`
     /// [`MIN_AUTO_MERGE_STEP`]`)` rows, oldest first — until the backlog
     /// drains to the stop watermark (`threshold/4`). No single mutation
@@ -1050,17 +1046,15 @@ impl Catalog {
                 return;
             }
         }
-        let stop = threshold / 4;
-        if self.pending_delta_rows(schema, table) >= threshold {
-            self.compacting.insert(tk.clone());
-        }
-        if !self.compacting.contains(&tk) {
+        let policy = CompactionPolicy::from_threshold(threshold as u64);
+        let pending = self.pending_delta_rows(schema, table) as u64;
+        if !policy.engaged(self.compacting.contains(&tk), pending) {
             return;
         }
-        let step = (threshold / 4).max(MIN_AUTO_MERGE_STEP);
-        match self.merge_deltas_step(schema, table, step) {
+        self.compacting.insert(tk.clone());
+        match self.merge_deltas_step(schema, table, policy.rows_per_step() as usize) {
             Ok(_) => {
-                if self.pending_delta_rows(schema, table) <= stop {
+                if policy.drained(self.pending_delta_rows(schema, table) as u64) {
                     self.compacting.remove(&tk);
                 }
             }

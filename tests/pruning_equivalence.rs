@@ -254,44 +254,3 @@ fn sorted_column_prunes_to_a_third_of_unpruned_bytes() {
         "pruned scans read {pruned} B, more than a third of the {unpruned} B unpruned cost"
     );
 }
-
-/// Morsel-parallel batch reads replay into the tracker bit-identically
-/// to the serial walk — counts and the event stream — for every kind.
-#[test]
-fn morsel_batches_stay_bit_identical_for_every_kind() {
-    let values: Vec<u32> = (0..6_000u32).map(|i| (i * 7919) % 10_000).collect();
-    let domain = ValueRange::must(0u32, 9_999);
-    let queries: Vec<ValueRange<u32>> = (0..40)
-        .map(|i| {
-            let lo = (i * 577) % 9_000;
-            ValueRange::must(lo, lo + 750)
-        })
-        .collect();
-    let mut pool = ScanPool::new(3);
-    for kind in StrategyKind::ALL {
-        let spec = StrategySpec::new(kind)
-            .with_apm_bounds(256, 1024)
-            .with_model_seed(3)
-            .with_encoding(EncodingMode::Adaptive(EncodingPolicy::eager(4)));
-        let column = ConcurrentColumn::from_spec(&spec, domain, values.clone()).expect("in domain");
-        for q in &queries {
-            let _ = column.select_count(q, &mut NullTracker);
-        }
-        column.quiesce();
-        let snap = column.snapshot();
-
-        let mut serial_log = EventLog::new();
-        let serial: Vec<u64> = queries
-            .iter()
-            .map(|q| snap.select_count(q, &mut serial_log))
-            .collect();
-        let mut batch_log = EventLog::new();
-        let batch = snap.select_count_batch(&queries, &mut pool, &mut batch_log);
-        assert_eq!(serial, batch, "{kind:?} batch counts diverged from serial");
-        assert_eq!(
-            serial_log.events(),
-            batch_log.events(),
-            "{kind:?} batch accounting diverged from serial"
-        );
-    }
-}
