@@ -117,42 +117,6 @@ fn bench_scan_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fused one-pass aggregates vs collect-then-fold, on raw slices and on
-/// packed payloads (where the fused path never materializes values).
-fn bench_aggregate_kernels(c: &mut Criterion) {
-    const N: usize = 1_000_000;
-    let values = uniform_values(N, &domain(), 7);
-    let q = ValueRange::must(200_000, 599_999);
-    let mut group = c.benchmark_group("aggregate_kernels");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(N as u64));
-
-    group.bench_function(BenchmarkId::new("sum_collect_then_fold", N), |b| {
-        b.iter(|| {
-            let mut out = Vec::new();
-            kernels::collect_range(&values, &q, &mut out);
-            black_box(out.iter().map(|v| f64::from(*v)).sum::<f64>())
-        })
-    });
-    group.bench_function(BenchmarkId::new("sum_fused", N), |b| {
-        b.iter(|| black_box(kernels::sum_range(&values, &q)))
-    });
-
-    group.bench_function(BenchmarkId::new("min_max_collect_then_fold", N), |b| {
-        b.iter(|| {
-            let mut out = Vec::new();
-            kernels::collect_range(&values, &q, &mut out);
-            let lo = out.iter().copied().min();
-            let hi = out.iter().copied().max();
-            black_box((lo, hi))
-        })
-    });
-    group.bench_function(BenchmarkId::new("min_max_fused", N), |b| {
-        b.iter(|| black_box(kernels::min_max_range(&values, &q)))
-    });
-    group.finish();
-}
-
 /// Compressed-domain scans against decode-then-scan: the packed kernels
 /// evaluate the predicate over codec words without expanding them.
 fn bench_packed_scans(c: &mut Criterion) {
@@ -182,9 +146,6 @@ fn bench_packed_scans(c: &mut Criterion) {
             BenchmarkId::new("count_decode_then_scan", enc.token()),
             |b| b.iter(|| black_box(kernels::count_range(&packed.decoded(), &q))),
         );
-        group.bench_function(BenchmarkId::new("sum_packed", enc.token()), |b| {
-            b.iter(|| black_box(packed.sum_range(&q)))
-        });
     }
     group.finish();
 }
@@ -194,7 +155,6 @@ criterion_group!(
     bench_select,
     bench_overlap_lookup,
     bench_scan_kernels,
-    bench_aggregate_kernels,
     bench_packed_scans
 );
 criterion_main!(benches);

@@ -88,8 +88,8 @@ fn bench_sharded_scan(c: &mut Criterion) {
 
 /// The full-fanout, real-work case the parallel executor exists for: wide
 /// queries over round-robin placement, every node scanning for every
-/// query. This is the `BENCH_PR4.json` `perf-sharded-*` experiment run
-/// under the criterion harness. The column is 4× the routed-scan bench so
+/// query. This is `repro`'s `perf-sharded-*` experiment run under the
+/// criterion harness. The column is 4× the routed-scan bench so
 /// per-batch scan work dominates the one-spawn-per-node coordination cost
 /// — on multi-core hardware the parallel/serial ratio then approaches the
 /// core count.

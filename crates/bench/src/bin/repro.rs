@@ -21,20 +21,15 @@
 //!
 //! Each figure/table is printed (tables verbatim, figures as sparkline
 //! summaries) and written as CSV under `--out` (default `results/`).
-//! With `--json`, a machine-readable perf baseline — per-experiment wall
-//! time, bytes scanned, serial-vs-parallel speedup — is additionally
-//! written to `<out>/BENCH_PR4.json`, the epoch-read-path experiments
-//! to `<out>/BENCH_PR5.json`, the compression experiments — raw vs
-//! encoded footprint, packed-scan vs decode-then-scan ms per codec — to
-//! `<out>/BENCH_PR6.json`, and the pruning/open-loop experiments —
-//! pruned vs unpruned bytes scanned, p50/p99/p999 latency — to
-//! `<out>/BENCH_PR8.json`, and the overload/recovery experiments — shed
-//! rate, goodput, served-tail quantiles with the admission gate off vs
-//! on at 2× saturation, worker-rebuild recovery time — to
-//! `<out>/BENCH_PR9.json`, and the delta-compaction experiments —
-//! write-heavy open-loop tail with incremental vs bulk merge, delta-free
-//! overlay overhead — to `<out>/BENCH_PR10.json` (CI uploads all six as
-//! artifacts).
+//! Every section's wall time and every perf measurement is printed as one
+//! `<experiment> <name> = <value> <unit>` line and written to
+//! `<out>/BENCH.json` (`perf-pruning bytes_scanned`, `perf-openloop
+//! p999_us`, `perf-delta-overlay overlay_ms`, …). The perf gates declared
+//! in `soc_bench::perf::GATES` are then evaluated for every experiment
+//! that ran, one verdict line each; `repro` exits non-zero when a gate
+//! fails or an experiment that ran lacks a metric its gate reads. Gates
+//! that compare wall-clock overlap skip on a host with fewer than two
+//! available CPUs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -42,9 +37,9 @@ use std::time::Instant;
 
 use soc_bench::fig2;
 use soc_bench::perf::{
-    aggregate_kernel_perf, compress_perf, concurrent_migration_perf, concurrent_read_perf,
-    delta_merge_perf, kernel_count_perf, open_loop_perf, overload_perf, pruning_scan_perf,
-    sharded_scan_perf, write_bench_json_named, PerfEntry,
+    compress_perf, concurrent_migration_perf, concurrent_read_perf, delta_merge_perf,
+    evaluate_gates, kernel_count_perf, metrics, open_loop_perf, overload_perf, pruning_scan_perf,
+    sharded_scan_perf, write_bench_json, Metric,
 };
 use soc_sim::experiment::ablation;
 use soc_sim::experiment::simulation::{run_simulation_matrix, SimConfig, SimulationMatrix};
@@ -58,7 +53,6 @@ struct Opts {
     experiment: String,
     out: PathBuf,
     quick: bool,
-    json: bool,
     scale: usize,
 }
 
@@ -67,7 +61,6 @@ fn parse_args() -> Result<Opts, String> {
         experiment: "all".to_owned(),
         out: PathBuf::from("results"),
         quick: false,
-        json: false,
         scale: 1,
     };
     let mut args = std::env::args().skip(1);
@@ -80,7 +73,6 @@ fn parse_args() -> Result<Opts, String> {
                 opts.out = PathBuf::from(args.next().ok_or("--out needs a value")?);
             }
             "--quick" => opts.quick = true,
-            "--json" => opts.json = true,
             "--scale" => {
                 opts.scale = args
                     .next()
@@ -91,7 +83,7 @@ fn parse_args() -> Result<Opts, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--experiment <id|group|all>] [--out DIR] [--quick] \
-                     [--json] [--scale N]"
+                     [--scale N]"
                 );
                 std::process::exit(0);
             }
@@ -128,14 +120,82 @@ fn wants(experiment: &str, id: &str, group: &str) -> bool {
     experiment == "all" || experiment == id || experiment == group
 }
 
-/// Runs `f` and appends its wall time to the perf baseline under `id`,
-/// passing the closure's value through.
-fn timed<T, F: FnOnce() -> T>(perf: &mut Vec<PerfEntry>, id: &str, f: F) -> T {
+/// Prints one line per metric and appends them to the run's record.
+fn record(all: &mut Vec<Metric>, new: Vec<Metric>) {
+    for m in &new {
+        let digits = if m.value.fract() == 0.0 { 0 } else { 3 };
+        println!(
+            "{} {} = {:.*} {}",
+            m.experiment, m.name, digits, m.value, m.unit
+        );
+    }
+    all.extend(new);
+}
+
+/// Runs `f` and records its wall time as `<id> wall_ms`, passing the
+/// closure's value through.
+fn timed<T, F: FnOnce() -> T>(all: &mut Vec<Metric>, id: &str, f: F) -> T {
     let t0 = Instant::now();
     let out = f();
-    perf.push(PerfEntry::section(id, t0.elapsed().as_secs_f64() * 1e3));
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    record(all, metrics(id, &[("wall_ms", "ms", ms)]));
     out
 }
+
+/// The wall-clock perf experiments: selector, what is measured, runner.
+type PerfRun = (&'static str, &'static str, fn(bool) -> Vec<Metric>);
+
+const PERF_RUNS: &[PerfRun] = &[
+    (
+        "perf-sharded",
+        "sharded serial-vs-parallel scan at 1, 4 and 16 nodes",
+        |quick| {
+            [1, 4, 16]
+                .into_iter()
+                .flat_map(|nodes| sharded_scan_perf(nodes, quick))
+                .collect()
+        },
+    ),
+    (
+        "perf-kernels",
+        "branchless scan kernel vs naive filter",
+        kernel_count_perf,
+    ),
+    (
+        "perf-concurrent",
+        "snapshot readers vs the serial &mut path, and reads during migrations",
+        |quick| {
+            let mut out = concurrent_read_perf(quick);
+            out.extend(concurrent_migration_perf(quick));
+            out
+        },
+    ),
+    (
+        "perf-compress",
+        "packed-domain scans vs decode-then-scan per codec",
+        compress_perf,
+    ),
+    (
+        "perf-pruning",
+        "zone-map pruning on the snapshot read path",
+        pruning_scan_perf,
+    ),
+    (
+        "perf-openloop",
+        "the open-loop Zipf workload for tail latency",
+        open_loop_perf,
+    ),
+    (
+        "perf-overload",
+        "the 2x-saturation overload run, admission gate off vs on",
+        overload_perf,
+    ),
+    (
+        "perf-delta",
+        "the write-heavy open-loop run, incremental vs bulk merge",
+        delta_merge_perf,
+    ),
+];
 
 fn main() -> ExitCode {
     let opts = match parse_args() {
@@ -150,10 +210,10 @@ fn main() -> ExitCode {
         written: Vec::new(),
     };
     let e = opts.experiment.as_str();
-    let mut perf: Vec<PerfEntry> = Vec::new();
+    let mut all: Vec<Metric> = Vec::new();
 
     if wants(e, "fig2", "simulation") {
-        timed(&mut perf, "fig2", || em.figure(&fig2()));
+        timed(&mut all, "fig2", || em.figure(&fig2()));
     }
 
     // ---- Section 6.1 simulation ----------------------------------------
@@ -172,7 +232,7 @@ fn main() -> ExitCode {
             "running simulation matrix ({} values, {} queries, 16 runs)…",
             cfg.column_len, cfg.query_count
         );
-        let m: SimulationMatrix = timed(&mut perf, "simulation-matrix", || {
+        let m: SimulationMatrix = timed(&mut all, "simulation-matrix", || {
             run_simulation_matrix(&cfg)
         });
         if wants(e, "fig5", "simulation") {
@@ -221,7 +281,7 @@ fn main() -> ExitCode {
             cfg.column_len * 8 / (1024 * 1024),
             cfg.query_count
         );
-        let r: SkyServerResults = timed(&mut perf, "skyserver-grid", || run_skyserver(&cfg));
+        let r: SkyServerResults = timed(&mut all, "skyserver-grid", || run_skyserver(&cfg));
         if wants(e, "fig10", "skyserver") {
             em.table(&r.fig10());
         }
@@ -288,217 +348,71 @@ fn main() -> ExitCode {
             }
         };
         if wants(e, "ablation-cracking", "ablation") {
-            timed(&mut perf, "ablation-cracking", || {
+            timed(&mut all, "ablation-cracking", || {
                 em.table(&ablation::cracking_comparison(&cfg))
             });
         }
         if wants(e, "ablation-apm", "ablation") {
-            timed(&mut perf, "ablation-apm", || {
+            timed(&mut all, "ablation-apm", || {
                 em.table(&ablation::apm_bound_sweep(&cfg))
             });
         }
         if wants(e, "ablation-merge", "ablation") {
-            timed(&mut perf, "ablation-merge", || {
+            timed(&mut all, "ablation-merge", || {
                 em.table(&ablation::merge_ablation(&cfg))
             });
         }
         if wants(e, "ablation-buffer", "ablation") {
-            timed(&mut perf, "ablation-buffer", || {
+            timed(&mut all, "ablation-buffer", || {
                 em.table(&ablation::buffer_ablation(&cfg))
             });
         }
         if wants(e, "ablation-budget", "ablation") {
-            timed(&mut perf, "ablation-budget", || {
+            timed(&mut all, "ablation-budget", || {
                 em.table(&ablation::budget_ablation(&cfg))
             });
         }
         if wants(e, "ablation-auto-apm", "ablation") {
-            timed(&mut perf, "ablation-auto-apm", || {
+            timed(&mut all, "ablation-auto-apm", || {
                 em.table(&ablation::auto_apm_ablation(&cfg))
             });
         }
         if wants(e, "ablation-estimator", "ablation") {
-            timed(&mut perf, "ablation-estimator", || {
+            timed(&mut all, "ablation-estimator", || {
                 em.table(&ablation::estimator_ablation(&cfg))
             });
         }
         if wants(e, "ablation-placement", "ablation") {
-            timed(&mut perf, "ablation-placement", || {
+            timed(&mut all, "ablation-placement", || {
                 em.table(&ablation::placement_ablation(&cfg, 8))
             });
         }
         if wants(e, "ablation-sharding", "ablation") {
-            timed(&mut perf, "ablation-sharding", || {
+            timed(&mut all, "ablation-sharding", || {
                 em.table(&ablation::sharding_ablation(&cfg, 8))
             });
         }
         if wants(e, "ablation-sql-strategy", "ablation") {
-            timed(&mut perf, "ablation-sql-strategy", || {
+            timed(&mut all, "ablation-sql-strategy", || {
                 em.table(&ablation::sql_strategy_ablation(&cfg))
             });
         }
         if wants(e, "ablation-compress", "ablation") {
-            timed(&mut perf, "ablation-compress", || {
+            timed(&mut all, "ablation-compress", || {
                 em.table(&ablation::compress_ablation(&cfg))
             });
         }
     }
 
-    // ---- Wall-clock perf: parallel executor & scan kernels ---------------
-    let mut ran_perf = false;
-    if wants(e, "perf-sharded", "perf") {
-        for nodes in [1usize, 4, 16] {
-            eprintln!("measuring sharded serial-vs-parallel scan at {nodes} node(s)…");
-            let entry = sharded_scan_perf(nodes, opts.quick);
-            println!(
-                "{}: serial {:.2} ms, parallel {:.2} ms, speedup {:.2}x, {} KB scanned",
-                entry.id,
-                entry.serial_ms.unwrap_or(0.0),
-                entry.parallel_ms.unwrap_or(0.0),
-                entry.speedup.unwrap_or(0.0),
-                entry.bytes_scanned.unwrap_or(0) / 1024,
-            );
-            perf.push(entry);
-            ran_perf = true;
+    // ---- Wall-clock perf: executors, kernels, serving paths -------------
+    for (id, what, run) in PERF_RUNS {
+        if wants(e, id, "perf") {
+            eprintln!("measuring {what}…");
+            record(&mut all, run(opts.quick));
         }
-    }
-    if wants(e, "perf-kernels", "perf") {
-        eprintln!("measuring branchless scan kernel vs naive filter…");
-        let entry = kernel_count_perf(opts.quick);
-        println!(
-            "{}: naive {:.3} ms, kernel {:.3} ms, speedup {:.2}x",
-            entry.id,
-            entry.serial_ms.unwrap_or(0.0),
-            entry.parallel_ms.unwrap_or(0.0),
-            entry.speedup.unwrap_or(0.0),
-        );
-        perf.push(entry);
-        ran_perf = true;
-    }
-    let mut perf5: Vec<PerfEntry> = Vec::new();
-    if wants(e, "perf-concurrent", "perf") {
-        eprintln!("measuring concurrent snapshot readers vs the serial &mut path…");
-        let entry = concurrent_read_perf(opts.quick);
-        println!(
-            "{}: serial &mut {:.2} ms, concurrent {:.2} ms, speedup {:.2}x",
-            entry.id,
-            entry.serial_ms.unwrap_or(0.0),
-            entry.parallel_ms.unwrap_or(0.0),
-            entry.speedup.unwrap_or(0.0),
-        );
-        perf5.push(entry);
-        eprintln!("measuring reads during background strategy migrations…");
-        let entry = concurrent_migration_perf(opts.quick);
-        println!(
-            "{}: quiet reads {:.2} ms, during migrations {:.2} ms (ratio {:.2})",
-            entry.id,
-            entry.serial_ms.unwrap_or(0.0),
-            entry.parallel_ms.unwrap_or(0.0),
-            entry.speedup.unwrap_or(0.0),
-        );
-        perf5.push(entry);
-        ran_perf = true;
-    }
-    let mut perf6: Vec<PerfEntry> = Vec::new();
-    if wants(e, "perf-compress", "perf") {
-        eprintln!("measuring packed-domain scans vs decode-then-scan per codec…");
-        for entry in compress_perf(opts.quick) {
-            println!(
-                "{}: decode+scan {:.3} ms, packed scan {:.3} ms, {} KB raw -> {} KB encoded",
-                entry.id,
-                entry.serial_ms.unwrap_or(0.0),
-                entry.parallel_ms.unwrap_or(0.0),
-                entry.bytes_raw.unwrap_or(0) / 1024,
-                entry.bytes_encoded.unwrap_or(0) / 1024,
-            );
-            perf6.push(entry);
-        }
-        eprintln!("measuring fused aggregate kernels vs collect-then-fold…");
-        let entry = aggregate_kernel_perf(opts.quick);
-        println!(
-            "{}: collect+fold {:.3} ms, fused {:.3} ms, speedup {:.2}x",
-            entry.id,
-            entry.serial_ms.unwrap_or(0.0),
-            entry.parallel_ms.unwrap_or(0.0),
-            entry.speedup.unwrap_or(0.0),
-        );
-        perf6.push(entry);
-        ran_perf = true;
-    }
-    let mut perf8: Vec<PerfEntry> = Vec::new();
-    if wants(e, "perf-pruning", "perf") {
-        eprintln!("measuring zone-map pruning on the snapshot read path…");
-        let entry = pruning_scan_perf(opts.quick);
-        println!(
-            "{}: {} KB scanned vs {} KB unpruned ({:.1}x pruned away)",
-            entry.id,
-            entry.bytes_scanned.unwrap_or(0) / 1024,
-            entry.bytes_unpruned.unwrap_or(0) / 1024,
-            entry.speedup.unwrap_or(0.0),
-        );
-        perf8.push(entry);
-        ran_perf = true;
-    }
-    if wants(e, "perf-openloop", "perf") {
-        eprintln!("running the open-loop Zipf workload for tail latency…");
-        let entry = open_loop_perf(opts.quick);
-        println!(
-            "{}: p50 {:.1} us, p99 {:.1} us, p999 {:.1} us",
-            entry.id,
-            entry.p50_us.unwrap_or(0.0),
-            entry.p99_us.unwrap_or(0.0),
-            entry.p999_us.unwrap_or(0.0),
-        );
-        perf8.push(entry);
-        ran_perf = true;
-    }
-    let mut perf9: Vec<PerfEntry> = Vec::new();
-    if wants(e, "perf-overload", "perf") {
-        eprintln!("running the 2x-saturation overload run, admission gate off vs on…");
-        for entry in overload_perf(opts.quick) {
-            match entry.recovery_ms {
-                Some(r) => println!("{}: worker rebuild absorbed in {:.2} ms", entry.id, r),
-                None => println!(
-                    "{}: shed {:.1}%, goodput {:.0} q/s, p50 {:.1} us, p99 {:.1} us, p999 {:.1} us",
-                    entry.id,
-                    entry.shed_rate.unwrap_or(0.0) * 100.0,
-                    entry.goodput_qps.unwrap_or(0.0),
-                    entry.p50_us.unwrap_or(0.0),
-                    entry.p99_us.unwrap_or(0.0),
-                    entry.p999_us.unwrap_or(0.0),
-                ),
-            }
-            perf9.push(entry);
-        }
-        ran_perf = true;
-    }
-    let mut perf10: Vec<PerfEntry> = Vec::new();
-    if wants(e, "perf-delta", "perf") {
-        eprintln!("running the write-heavy open-loop run, incremental vs bulk merge…");
-        for entry in delta_merge_perf(opts.quick) {
-            match (entry.p999_us, entry.speedup) {
-                (Some(_), _) => println!(
-                    "{}: p50 {:.1} us, p99 {:.1} us, p999 {:.1} us",
-                    entry.id,
-                    entry.p50_us.unwrap_or(0.0),
-                    entry.p99_us.unwrap_or(0.0),
-                    entry.p999_us.unwrap_or(0.0),
-                ),
-                (None, Some(ratio)) => println!(
-                    "{}: base-only {:.3} ms, overlay-aware {:.3} ms (overhead {:.2}x)",
-                    entry.id,
-                    entry.serial_ms.unwrap_or(0.0),
-                    entry.parallel_ms.unwrap_or(0.0),
-                    ratio,
-                ),
-                _ => println!("{}: {:.2} ms", entry.id, entry.wall_ms),
-            }
-            perf10.push(entry);
-        }
-        ran_perf = true;
     }
 
-    if em.written.is_empty() && !ran_perf {
+    if all.is_empty() {
         eprintln!(
             "error: no experiment matched {e:?}; try fig2, fig5..fig16, tab1, tab2, \
              simulation, skyserver, ablation-*, perf-sharded, perf-kernels, \
@@ -507,29 +421,11 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if opts.json {
-        // Only write a baseline that has content: a filtered run (e.g.
-        // `--experiment perf-sharded --json`) must not clobber the other
-        // file's previous, valid baseline with an empty experiments list.
-        for (file, schema, entries) in [
-            ("BENCH_PR4.json", "soc-bench-pr4", &perf),
-            ("BENCH_PR5.json", "soc-bench-pr5", &perf5),
-            ("BENCH_PR6.json", "soc-bench-pr6", &perf6),
-            ("BENCH_PR8.json", "soc-bench-pr8", &perf8),
-            ("BENCH_PR9.json", "soc-bench-pr9", &perf9),
-            ("BENCH_PR10.json", "soc-bench-pr10", &perf10),
-        ] {
-            if entries.is_empty() {
-                eprintln!("skipping {file}: no matching experiments ran");
-                continue;
-            }
-            match write_bench_json_named(&opts.out, file, schema, opts.quick, entries) {
-                Ok(path) => eprintln!("wrote perf baseline {}", path.display()),
-                Err(err) => {
-                    eprintln!("error: could not write {file}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    match write_bench_json(&opts.out, opts.quick, &all) {
+        Ok(path) => eprintln!("wrote {} metric(s) to {}", all.len(), path.display()),
+        Err(err) => {
+            eprintln!("error: could not write BENCH.json: {err}");
+            return ExitCode::FAILURE;
         }
     }
     eprintln!(
@@ -537,5 +433,20 @@ fn main() -> ExitCode {
         em.written.len(),
         opts.out.display()
     );
+
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("perf gates ({cpus} available CPU(s)):");
+    let mut failed = 0usize;
+    for (gate, verdict) in evaluate_gates(&all, cpus) {
+        println!("gate {} [{}]: {verdict}", gate.experiment, gate.condition);
+        if verdict.is_failure() {
+            eprintln!("  {}", gate.reason);
+            failed += 1;
+        }
+    }
+    if failed > 0 {
+        eprintln!("error: {failed} perf gate(s) failed");
+        return ExitCode::FAILURE;
+    }
     ExitCode::SUCCESS
 }

@@ -6,8 +6,8 @@
 //!   models, covering-set search and reorganization cost.
 //!
 //! This library only hosts small helpers shared between the two, plus the
-//! [`perf`] module backing `repro --json`'s machine-readable baseline
-//! (`BENCH_PR4.json`).
+//! [`perf`] module: the wall-clock experiments, the [`perf::Metric`]
+//! record `repro` writes to `BENCH.json`, and the gate table it enforces.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -864,56 +864,11 @@ impl<V: ColumnValue> PiecePayload<V> {
         }
     }
 
-    /// One-pass fused `SUM(v) WHERE v IN q` (as `f64`); packed payloads
-    /// aggregate per key without materializing a vector.
-    pub fn sum_range(&self, q: &ValueRange<V>) -> f64 {
-        match self {
-            PiecePayload::Raw(v) => crate::kernels::sum_range(v, q),
-            PiecePayload::Packed(p) => {
-                let (lo, hi) = Self::query_keys(q);
-                let mut acc = 0.0f64;
-                p.visit_keys_in(lo, hi, |k, n| {
-                    // soc-lint: allow(L1-panic-free, keys round-trip: produced by to_key on the same value type)
-                    let v = V::from_key(k).expect("packed key decodes");
-                    acc += v.to_f64() * n as f64;
-                });
-                acc
-            }
-        }
-    }
-
-    /// One-pass fused `MIN/MAX(v) WHERE v IN q`; `None` when nothing
-    /// matches. Packed payloads compare keys (the projection is monotone)
-    /// and decode exactly two values at the end.
-    pub fn min_max_range(&self, q: &ValueRange<V>) -> Option<(V, V)> {
-        match self {
-            PiecePayload::Raw(v) => crate::kernels::min_max_range(v, q),
-            PiecePayload::Packed(p) => {
-                let (lo, hi) = Self::query_keys(q);
-                let mut bounds: Option<(u64, u64)> = None;
-                p.visit_keys_in(lo, hi, |k, _| {
-                    bounds = Some(match bounds {
-                        None => (k, k),
-                        Some((mn, mx)) => (mn.min(k), mx.max(k)),
-                    });
-                });
-                bounds.map(|(mn, mx)| {
-                    (
-                        // soc-lint: allow(L1-panic-free, keys round-trip: produced by to_key on the same value type)
-                        V::from_key(mn).expect("packed key decodes"),
-                        // soc-lint: allow(L1-panic-free, keys round-trip: produced by to_key on the same value type)
-                        V::from_key(mx).expect("packed key decodes"),
-                    )
-                })
-            }
-        }
-    }
-
     /// The piece's zone-map synopsis — exact min/max/count/sum, derived
-    /// without materializing a packed payload. The sum folds keys with
-    /// multiplicities in exactly the order [`Self::sum_range`] visits
-    /// them, so a covered query answered from the stored sum reproduces
-    /// the compressed-domain scan it replaces bit for bit. `None` for an
+    /// without materializing a packed payload. The sum folds decoded keys
+    /// with their multiplicities; for integer columns every partial sum is
+    /// exact in `f64` (below 2^53), so it equals the sum of the decoded
+    /// values bit for bit. `None` for an
     /// empty payload (or keys that no longer decode, which
     /// [`EncodedPayload::validate_for`] rejects upstream).
     pub fn synopsis(&self) -> Option<PieceSynopsis<V>> {
@@ -1214,7 +1169,7 @@ mod tests {
         assert_eq!(raw_syn.count(), values.len() as u64);
         assert_eq!(
             raw_syn.sum().to_bits(),
-            raw.sum_range(&covering).to_bits(),
+            crate::kernels::sum_range(&values, &covering).to_bits(),
             "raw synopsis sum must reproduce a covering sum_range exactly"
         );
         for enc in [
@@ -1232,8 +1187,8 @@ mod tests {
             assert_eq!(syn.count(), raw_syn.count(), "{enc}");
             assert_eq!(
                 syn.sum().to_bits(),
-                packed.sum_range(&covering).to_bits(),
-                "{enc}: packed synopsis sum must reproduce its own covering scan"
+                crate::kernels::sum_all(&packed.decoded()).to_bits(),
+                "{enc}: packed synopsis sum must equal the decoded-value sum"
             );
         }
         assert!(PiecePayload::<u32>::Raw(Vec::new()).synopsis().is_none());
@@ -1303,32 +1258,6 @@ mod tests {
             } else {
                 assert_eq!(decoded, values, "{enc}");
             }
-        }
-    }
-
-    #[test]
-    fn fused_aggregates_match_naive() {
-        let values = mixed_values(5_000, 4);
-        let q = ValueRange::must(2_000, 41_000);
-        let naive_sum: f64 = values
-            .iter()
-            .filter(|v| q.contains(**v))
-            .map(|&v| v as f64)
-            .sum();
-        let naive_min = values.iter().copied().filter(|v| q.contains(*v)).min();
-        let naive_max = values.iter().copied().filter(|v| q.contains(*v)).max();
-        for enc in SegmentEncoding::ALL {
-            let p = if enc == SegmentEncoding::Raw {
-                PiecePayload::Raw(values.clone())
-            } else {
-                payload_of(&values, enc)
-            };
-            assert!((p.sum_range(&q) - naive_sum).abs() < 1e-6, "{enc}");
-            assert_eq!(
-                p.min_max_range(&q),
-                naive_min.map(|mn| (mn, naive_max.unwrap())),
-                "{enc}"
-            );
         }
     }
 

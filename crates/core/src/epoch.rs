@@ -232,11 +232,7 @@ impl<V: ColumnValue> StrategySnapshot<V> {
             })
             .collect();
         let mut adaptation = strategy.adaptation();
-        adaptation.splits += retired.splits;
-        adaptation.merges += retired.merges;
-        adaptation.replicas_created += retired.replicas_created;
-        adaptation.drops += retired.drops;
-        adaptation.budget_declines += retired.budget_declines;
+        adaptation += retired;
         StrategySnapshot {
             epoch,
             pieces,
@@ -769,12 +765,7 @@ impl<V: ColumnValue> Writer<V> {
         let bytes = rows.len() as u64 * V::BYTES;
         match spec.build(self.domain, rows) {
             Ok(rebuilt) => {
-                let a = self.strategy.adaptation();
-                self.retired.splits += a.splits;
-                self.retired.merges += a.merges;
-                self.retired.replicas_created += a.replicas_created;
-                self.retired.drops += a.drops;
-                self.retired.budget_declines += a.budget_declines;
+                self.retired += self.strategy.adaptation();
                 // The migration is itself reorganization: one full read of
                 // the old layout, one full write of the new.
                 let seg = self.ids.fresh();
@@ -853,12 +844,7 @@ impl<V: ColumnValue> Writer<V> {
         let kept_bytes = kept.len() as u64 * V::BYTES;
         match spec.build(self.domain, kept) {
             Ok(rebuilt) => {
-                let a = self.strategy.adaptation();
-                self.retired.splits += a.splits;
-                self.retired.merges += a.merges;
-                self.retired.replicas_created += a.replicas_created;
-                self.retired.drops += a.drops;
-                self.retired.budget_declines += a.budget_declines;
+                self.retired += self.strategy.adaptation();
                 // The fold is reorganization: one read of the old layout
                 // plus the folded delta rows, one write of the new base.
                 let seg = self.ids.fresh();

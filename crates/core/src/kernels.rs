@@ -150,23 +150,6 @@ pub fn min_max_all<V: ColumnValue>(values: &[V]) -> Option<(V, V)> {
     Some((mn, mx))
 }
 
-/// One-pass fused `MIN(v), MAX(v) WHERE v IN q`; `None` when no value
-/// qualifies. The in-range test gates a pair of compare-selects, so a
-/// match never copies more than two registers — again no materialization.
-pub fn min_max_range<V: ColumnValue>(values: &[V], q: &ValueRange<V>) -> Option<(V, V)> {
-    let (lo, hi) = (q.lo(), q.hi());
-    let mut cur: Option<(V, V)> = None;
-    for &v in values {
-        if lo <= v && v <= hi {
-            cur = Some(match cur {
-                None => (v, v),
-                Some((mn, mx)) => (if v < mn { v } else { mn }, if mx < v { v } else { mx }),
-            });
-        }
-    }
-    cur
-}
-
 /// The positions `[start, end)` of the values inside `q` within a *sorted*
 /// run — two binary searches, no scan.
 ///
@@ -442,18 +425,6 @@ mod tests {
                 .sum();
             assert_eq!(sum_range(&values, &q), expect, "{q:?}");
         }
-    }
-
-    #[test]
-    fn fused_min_max_matches_collect_then_fold() {
-        let values = shuffled(CHUNK + 11, 19);
-        for (lo, hi) in [(0, 99_999), (20_000, 59_999), (1, 1)] {
-            let q = ValueRange::must(lo, hi);
-            let mn = values.iter().copied().filter(|v| q.contains(*v)).min();
-            let mx = values.iter().copied().filter(|v| q.contains(*v)).max();
-            assert_eq!(min_max_range(&values, &q), mn.map(|m| (m, mx.unwrap())));
-        }
-        assert_eq!(min_max_range::<u32>(&[], &ValueRange::must(0, 9)), None);
     }
 
     #[test]

@@ -310,33 +310,6 @@ impl<V: ColumnValue> SegmentData<V> {
         }
     }
 
-    /// One-pass fused `SUM(v) WHERE v IN q` over this segment.
-    ///
-    /// Disjoint queries are 0.0 and covering ones return the synopsis sum
-    /// — bit-identical to the scan it replaces, because the stored sum is
-    /// accumulated in the current layout's kernel order (see
-    /// [`crate::synopsis`]).
-    pub fn sum_in(&self, q: &ValueRange<V>) -> f64 {
-        match (&self.synopsis, self.classify(q)) {
-            (_, SynopsisClass::Disjoint) => 0.0,
-            (Some(s), SynopsisClass::Covered) => s.sum(),
-            _ => self.payload.sum_range(q),
-        }
-    }
-
-    /// One-pass fused `MIN/MAX(v) WHERE v IN q` over this segment.
-    ///
-    /// Answered O(1) from the synopsis when `q` covers the bounds — they
-    /// are exact, never widened, so this is safe (the whole reason
-    /// [`PieceSynopsis`] refuses conservative bounds).
-    pub fn min_max_in(&self, q: &ValueRange<V>) -> Option<(V, V)> {
-        match (&self.synopsis, self.classify(q)) {
-            (_, SynopsisClass::Disjoint) => None,
-            (Some(s), SynopsisClass::Covered) => Some((s.min(), s.max())),
-            _ => self.payload.min_max_range(q),
-        }
-    }
-
     /// Splits the segment's values across an ordered list of sub-ranges that
     /// tile `self.range`, producing one new segment per sub-range.
     ///
@@ -438,15 +411,11 @@ mod tests {
         assert_eq!((syn.min(), syn.max(), syn.count()), (20, 60, 3));
         // A query inside the range but outside the data prunes to zero...
         assert_eq!(s.count_in(&ValueRange::must(61, 100)), 0);
-        assert_eq!(s.sum_in(&ValueRange::must(0, 19)), 0.0);
-        assert_eq!(s.min_max_in(&ValueRange::must(61, 100)), None);
         let mut out = Vec::new();
         s.collect_in(&ValueRange::must(61, 100), &mut out);
         assert!(out.is_empty());
         // ...and one covering only the data (not the range) answers O(1).
         assert_eq!(s.count_in(&ValueRange::must(20, 60)), 3);
-        assert_eq!(s.sum_in(&ValueRange::must(20, 60)), 120.0);
-        assert_eq!(s.min_max_in(&ValueRange::must(20, 60)), Some((20, 60)));
     }
 
     #[test]
@@ -468,12 +437,6 @@ mod tests {
                 ValueRange::must(150, 350), // straddles
             ] {
                 assert_eq!(s.count_in(&q), s.payload().count_range(&q), "{q:?}");
-                assert_eq!(
-                    s.sum_in(&q).to_bits(),
-                    s.payload().sum_range(&q).to_bits(),
-                    "covered sums must be bit-identical for {q:?}"
-                );
-                assert_eq!(s.min_max_in(&q), s.payload().min_max_range(&q), "{q:?}");
                 let (mut fast, mut slow) = (Vec::new(), Vec::new());
                 s.collect_in(&q, &mut fast);
                 s.payload().collect_range(&q, &mut slow);
@@ -491,9 +454,9 @@ mod tests {
         let after = s.synopsis().expect("still non-empty");
         assert_eq!((before.min(), before.max()), (after.min(), after.max()));
         assert_eq!(before.count(), after.count());
-        // The packed sum must match the packed scan, bit for bit.
-        let all = ValueRange::must(0u32, 999);
-        assert_eq!(after.sum().to_bits(), s.payload().sum_range(&all).to_bits());
+        // The packed sum must match the decoded values' sum (exact for u32).
+        let decoded_sum = crate::kernels::sum_all(&s.payload().decoded());
+        assert_eq!(after.sum().to_bits(), decoded_sum.to_bits());
     }
 
     #[test]
@@ -501,8 +464,6 @@ mod tests {
         let (s, _) = seg(0, 99, &[]);
         assert_eq!(s.synopsis(), None);
         assert_eq!(s.count_in(&ValueRange::must(0, 99)), 0);
-        assert_eq!(s.sum_in(&ValueRange::must(0, 99)), 0.0);
-        assert_eq!(s.min_max_in(&ValueRange::must(0, 99)), None);
     }
 
     #[test]

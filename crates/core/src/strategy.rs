@@ -30,6 +30,18 @@ pub struct AdaptationStats {
     pub budget_declines: u64,
 }
 
+impl std::ops::AddAssign for AdaptationStats {
+    /// Field-wise sum: folds a retired strategy's (or another node's)
+    /// history into a running total.
+    fn add_assign(&mut self, rhs: Self) {
+        self.splits += rhs.splits;
+        self.merges += rhs.merges;
+        self.replicas_created += rhs.replicas_created;
+        self.drops += rhs.drops;
+        self.budget_declines += rhs.budget_declines;
+    }
+}
+
 /// A column organization that can answer range selections and may
 /// reorganize itself as a side effect (the paper's "reorganization decisions
 /// … made an integral part of query execution").
@@ -112,5 +124,38 @@ pub trait ColumnStrategy<V: ColumnValue>: Send + Sync {
     /// baselines; adaptive strategies override it.
     fn adaptation(&self) -> AdaptationStats {
         AdaptationStats::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn adaptation_stats_add_assign_sums_every_field() {
+        let mut total = AdaptationStats {
+            splits: 1,
+            merges: 2,
+            replicas_created: 3,
+            drops: 4,
+            budget_declines: 5,
+        };
+        total += AdaptationStats {
+            splits: 10,
+            merges: 20,
+            replicas_created: 30,
+            drops: 40,
+            budget_declines: 50,
+        };
+        assert_eq!(
+            total,
+            AdaptationStats {
+                splits: 11,
+                merges: 22,
+                replicas_created: 33,
+                drops: 44,
+                budget_declines: 55,
+            }
+        );
     }
 }

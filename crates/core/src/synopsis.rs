@@ -21,8 +21,9 @@
 //! The bounds are *exact*, not conservative: a covered `MIN`/`MAX` is
 //! answered straight from the synopsis, which a loose bound would corrupt.
 //! The stored sum is produced by the same accumulation the scan kernels
-//! use ([`crate::kernels::sum_all`] for raw sorted pieces, the packed
-//! key-visitor for encoded ones), so substituting it for a covered scan
+//! use ([`crate::kernels::sum_all`] for raw sorted pieces; for encoded
+//! ones the packed key-visitor, which is exact for integer columns and so
+//! equals the decoded-value sum), so substituting it for a covered scan
 //! changes no bits. `validate::synopsis_consistent` guards all of this at
 //! every `debug_assert_valid!` boundary.
 

@@ -922,12 +922,7 @@ impl<V: ColumnValue> ShardedColumn<V> {
         // and that self-inflicted activity must not count.
         let mut retired = self.retired;
         for node in &self.nodes {
-            let a = node.call(|s| s.adaptation());
-            retired.splits += a.splits;
-            retired.merges += a.merges;
-            retired.replicas_created += a.replicas_created;
-            retired.drops += a.drops;
-            retired.budget_declines += a.budget_declines;
+            retired += node.call(|s| s.adaptation());
         }
 
         // 1. The live partitioning, restricted to each node's ownership:
@@ -1176,12 +1171,7 @@ impl<V: ColumnValue> ColumnStrategy<V> for ShardedColumn<V> {
     fn adaptation(&self) -> AdaptationStats {
         let mut total = self.retired;
         for node in &self.nodes {
-            let a = node.call(|s| s.adaptation());
-            total.splits += a.splits;
-            total.merges += a.merges;
-            total.replicas_created += a.replicas_created;
-            total.drops += a.drops;
-            total.budget_declines += a.budget_declines;
+            total += node.call(|s| s.adaptation());
         }
         total
     }

@@ -9,7 +9,8 @@
 //! scheduled arrival*. Queueing delay behind a reorganizing query then
 //! shows up in the tail (p99/p999), which is precisely what the paper's
 //! "interference of reorganization with the workload" discussion is
-//! about and what `BENCH_PR8.json` reports.
+//! about and what `repro` reports as `perf-openloop` `p999_us` in
+//! `BENCH.json`.
 //!
 //! Everything is a pure function of the spec: the inter-arrival
 //! exponentials are seeded separately from the query positions (same seed,
